@@ -27,10 +27,13 @@ class Window:
     """
 
     setup_s: float = 0.0
-    #: Closed-loop completed requests per second.
-    throughput: float = 0.0
-    #: Per-unit latencies in seconds (an image, or an open-loop request).
+    #: Requests completed in the closed loop, and the seconds it took.
+    closed_requests: int = 0
+    closed_s: float = 0.0
+    #: Closed-loop latencies in seconds (an image, or a request operation).
     latencies: List[float] = field(default_factory=list)
+    #: Open-loop latencies in seconds, each from when the operation was due.
+    open_latencies: List[float] = field(default_factory=list)
     #: How late each open-loop operation was sent, in seconds.
     lags: List[float] = field(default_factory=list)
     #: Gateway submit-to-resolution times of open-loop requests, in seconds.
@@ -44,6 +47,9 @@ class Window:
     energy_pj: float = 0.0
     requests: int = 0
     model: Dict[str, float] = field(default_factory=dict)
+    #: How far the gateway's worker rose above the resident set it was
+    #: forked with, in MB (0 without a worker).
+    worker_rss_mb: float = 0.0
     #: Threads alive in the generator process once serving ended (the pool's
     #: fan-out thread included).
     threads: int = 0
@@ -52,6 +58,11 @@ class Window:
     #: Traced windows only: wall time and per-window layer metrics.
     wall_s: float = 0.0
     layers: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def throughput(self) -> float:
+        """Closed-loop completed requests per second."""
+        return self.closed_requests / self.closed_s
 
 
 def run_windows(seconds: float, minimum: int, window) -> List[Window]:
@@ -74,37 +85,59 @@ def run_windows(seconds: float, minimum: int, window) -> List[Window]:
 
 
 def end_to_end(windows: List[Window]) -> Dict[str, float]:
-    """The end-to-end metrics: set-up and throughput are medians over the
-    windows, latency percentiles are over every window's samples."""
+    """The end-to-end metrics.  Throughput is every window's closed-loop
+    requests over their seconds.  Set-up and each latency percentile are
+    medians over the windows of the window's own figure, so one window that
+    a stall or a slow spell of the machine hit does not move them."""
     requests = sum(w.requests for w in windows)
-    latencies = [value for w in windows for value in w.latencies]
     return {
         "setup_s": median([w.setup_s for w in windows]),
-        "throughput_rps": median([w.throughput for w in windows]),
-        "latency_p50_ms": percentile(latencies, 50) * 1e3,
-        "latency_p90_ms": percentile(latencies, 90) * 1e3,
+        "throughput_rps": (sum(w.closed_requests for w in windows)
+                           / sum(w.closed_s for w in windows)),
+        "latency_p50_ms": window_percentile(windows, 50) * 1e3,
+        "latency_p90_ms": window_percentile(windows, 90) * 1e3,
         "modelled_cycles_per_request": sum(w.cycles for w in windows) / requests,
         "modelled_energy_nj_per_request":
             sum(w.energy_pj for w in windows) / requests / 1e3,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(max(w.worker_rss_mb for w in windows)),
     }
+
+
+def window_percentile(windows: List[Window], q: float,
+                      open_loop: bool = False) -> float:
+    """Median over the windows of each window's ``q``-th latency percentile."""
+    return median([
+        percentile(w.open_latencies if open_loop else w.latencies, q)
+        for w in windows
+    ])
 
 
 def samples(windows: List[Window]) -> Dict[str, object]:
     """Sample counts behind the medians and percentiles, per-window figures,
-    and the pooled p99 latency (printed, not bounded: see README)."""
-    latencies = [value for w in windows for value in w.latencies]
+    and the open-loop latencies (printed, not bounded: see README)."""
+    quantiles = (50, 75, 90, 99)
     return {
         "windows": len(windows),
-        "latency_samples": len(latencies),
-        "latency_p99_ms": percentile(latencies, 99) * 1e3,
+        "latency_samples_per_window": [len(w.latencies) for w in windows],
+        "latency_p99_ms": window_percentile(windows, 99) * 1e3,
         "setup_s_per_window": [w.setup_s for w in windows],
         "throughput_rps_per_window": [w.throughput for w in windows],
         "latency_ms_per_window": [
-            [percentile(w.latencies, q) * 1e3 for q in (50, 90, 99)]
+            [percentile(w.latencies, q) * 1e3 for q in quantiles]
+            for w in windows
+        ],
+        "open_latency_ms": {
+            f"p{q}": window_percentile(windows, q, open_loop=True) * 1e3
+            for q in quantiles
+        },
+        "open_latency_samples_per_window": [
+            len(w.open_latencies) for w in windows],
+        "open_latency_ms_per_window": [
+            [percentile(w.open_latencies, q) * 1e3 for q in quantiles]
             for w in windows
         ],
         "lag_ms_p99_per_window": [percentile(w.lags, 99) * 1e3 for w in windows],
+        "worker_rss_mb_per_window": [w.worker_rss_mb for w in windows],
         "max_threads": max(w.threads for w in windows),
     }
 
@@ -146,11 +179,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
-def peak_rss_mb() -> float:
-    """Peak resident set of this process plus its largest reaped child."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+def peak_rss_mb(worker_mb: float = 0.0) -> float:
+    """Peak resident set of this process plus ``worker_mb``, what its
+    worker added above the pages it shares with this process."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0 + worker_mb
 
 
 def _git_sha() -> Optional[str]:

@@ -286,7 +286,8 @@ def window(bench: Resnet20, traced: bool) -> Window:
     mvms = bench.mvms_per_image
     result = Window(
         setup_s=setup_s,
-        throughput=mvms * len(latencies) / sum(latencies),
+        closed_requests=mvms * len(latencies),
+        closed_s=sum(latencies),
         latencies=latencies,
         attempted=(IMAGES_PER_WINDOW + 1) * mvms,
         failed=failed,

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload {resnet20,tenants,tenants_gateway} \
+    python3 perfbench/run.py --workload {resnet20,tenants_gateway} \
         --seed N --seconds S --trace {0,1}
 
 ``--trace 0`` measures the end-to-end metrics of ``BENCHMARK.json``;
@@ -24,7 +24,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-WORKLOADS = ("resnet20", "tenants", "tenants_gateway")
+WORKLOADS = ("resnet20", "tenants_gateway")
 
 
 def main() -> int:
@@ -59,9 +59,8 @@ def main() -> int:
         outcome = resnet20.run(args.seed, args.seconds, trace)
         params = resnet20.PARAMS
     else:
-        gateway = args.workload == "tenants_gateway"
-        outcome = tenants.run(args.seed, args.seconds, trace, gateway)
-        params = tenants.params(gateway)
+        outcome = tenants.run(args.seed, args.seconds, trace)
+        params = tenants.params()
 
     missing = [m["name"] for m in declared if m["name"] not in outcome.metrics]
     extra = sorted(set(outcome.metrics) - {m["name"] for m in declared})

@@ -1,17 +1,12 @@
-"""``tenants`` and ``tenants_gateway``: small multi-tenant MVM traffic.
+"""``tenants_gateway``: small multi-tenant MVM traffic through the gateway.
 
 Eight tenant matrices, 16x16 up to 128x64 with 4-bit weights, are served
-with 8-bit request vectors by one server: two ``small`` chips of 16 HCTs
-each, ``verify="full"``.  At that size the 128x64 tenant is split into three
-row bands across both chips, so its requests fan out and every band's
-partial is checked against its column checksum.
-
-``tenants`` drives the server in this process through its public ``tick()``
-from the generator's own loop (no driver thread).  ``tenants_gateway`` sends
-the same seeded schedules, at the same offered rate, through a
-``ClusterGateway`` with one worker process whose server is built by the same
-function, so the difference between the two is the cost of the ring, the
-message codec and the gateway.
+with 8-bit request vectors by one ``ClusterGateway`` worker: two ``small``
+chips of 16 HCTs each, ``verify="full"``.  At that size the 128x64 tenant is
+split into three row bands across both chips, so its requests fan out and
+every band's partial is checked against its column checksum.  The worker's
+server comes from the worker's own builder; every request crosses the ring
+and the message codec both ways.
 
 Traffic is mostly single-vector ``submit`` calls from independent users (the
 gather path), every 20th operation a ``submit_batch`` wave (the zero-copy
@@ -23,11 +18,14 @@ schedules:
 
 * first an open loop sends a precomputed Poisson schedule at
   ``OFFERED_RPS`` vectors per second for ``OPEN_SECONDS`` and times each
-  request from when it was due, which gives ``latency_p50_ms`` and
-  ``latency_p90_ms``;
+  request operation from when it was due until its last answer landed (a
+  wave is one user's request); these latencies are printed beside the
+  result, not bounded (see the README);
 * then a closed loop of ``CLIENTS`` virtual clients, each sending its next
   operation once the previous one completed, works through ``CLOSED_OPS``
-  operations and gives ``throughput_rps``.
+  operations and gives ``throughput_rps``, and, timing each request
+  operation from its send to its last answer, ``latency_p50_ms`` and
+  ``latency_p90_ms``.
 
 The open loop comes first because the DCE op logs grow with every MVM and
 the collector's pauses with them: latency measured later in a window would
@@ -44,16 +42,13 @@ import functools
 import multiprocessing
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import ChipConfig, HctConfig
 from repro.errors import AdmissionError
 from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster import worker as worker_module
-from repro.runtime.pool import DevicePool
-from repro.runtime.server import PumServer
 
 from common import (
     Outcome,
@@ -72,6 +67,7 @@ from tracing import (
     WorkerTap,
     install,
     layer_metrics,
+    reuse_share,
     server_metrics,
     traced_metrics,
     unaccounted_share,
@@ -93,19 +89,19 @@ WAVE_EVERY = 20
 WAVE_SIZES = (8, 16)
 REGISTER_EVERY = 50
 #: Closed-loop operations per window.
-CLOSED_OPS = 1600
+CLOSED_OPS = 1200
 #: Open-loop offered load in vectors per second, about a sixth of what the
-#: gateway path serves, and the open-loop length per window.
+#: gateway path serves, and the open-loop length per window.  The two
+#: lengths split a run about evenly between the loops and keep windows
+#: short enough for a run to hold nine or more.
 OFFERED_RPS = 100.0
-OPEN_SECONDS = 8.0
+OPEN_SECONDS = 3.0
 #: Seeded request vectors kept per tenant; requests index into them.
 VECTOR_POOL = 512
 MIN_WINDOWS = 3
 
-#: The server both workloads run, as the worker spec ``ClusterGateway``
-#: (num_workers=1, devices_per_worker=2, chip="small", num_hcts=16,
-#: verify="full") hands its worker.  The gateway run checks that the spec
-#: its worker received equals this one.
+#: The worker spec ``ClusterGateway(**GATEWAY_ARGS)`` hands its worker; each
+#: window checks that the spec its worker received equals this one.
 SERVER_SPEC = {
     "num_devices": 2,
     "chip": "small",
@@ -124,19 +120,17 @@ GATEWAY_ARGS = {"num_workers": 1, "devices_per_worker": 2, "chip": "small",
 SINGLE, WAVE, REPROGRAM, REUSE = 0, 1, 2, 3
 
 
-def params(gateway: bool) -> Dict[str, Any]:
+def params() -> Dict[str, Any]:
     """Workload parameters recorded beside each result."""
-    values = {
+    return {
         "tenant_shapes": [list(shape) for shape in TENANT_SHAPES],
         "weight_bits": WEIGHT_BITS, "input_bits": INPUT_BITS,
         "clients": CLIENTS, "wave_every": WAVE_EVERY,
         "wave_sizes": list(WAVE_SIZES), "register_every": REGISTER_EVERY,
         "closed_ops": CLOSED_OPS, "offered_rps": OFFERED_RPS,
         "open_seconds": OPEN_SECONDS, "server": SERVER_SPEC,
+        "gateway": GATEWAY_ARGS,
     }
-    if gateway:
-        values["gateway"] = GATEWAY_ARGS
-    return values
 
 
 class Schedule:
@@ -266,41 +260,30 @@ def name_of(tenant: int) -> str:
 
 
 class ServerBuilder:
-    """Builds the tenants server from a worker spec.
+    """The worker's server builder, keeping the server it built.
 
-    It mirrors ``repro.runtime.cluster.worker.build_worker_server`` with the
-    pool's fan-out executor capped at one thread, so a generator process
-    serving in-process runs no more threads than the two CPUs this benchmark
-    is sized for.  The gateway run installs it as the worker's builder, so
-    both workloads serve with the same server.
+    ``repro.runtime.cluster.worker.build_worker_server`` builds the server
+    from the worker spec.  The one change is the pool's fan-out executor,
+    capped at one thread before the pool first builds it: the worker's main
+    thread waits while that thread runs, so the worker and the gateway
+    process beside it never need more than the two CPUs this benchmark is
+    sized for.  The server is kept for the report the worker sends home.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, build: Callable[[Dict[str, Any]], Any]) -> None:
+        self.build = build
         self.server = None
         self.spec: Dict[str, Any] = {}
 
     def __call__(self, spec: Dict[str, Any]):
-        if spec.get("chip") != "small" or spec.get("noise") is not None:
-            raise ValueError(f"unsupported worker spec {spec!r}")
-        pool = DevicePool(
-            num_devices=int(spec["num_devices"]),
-            config=ChipConfig(hct=HctConfig.small(),
-                              num_hcts=int(spec["num_hcts"])),
-            policy=spec["policy"],
-            backend=spec["backend"],
-            replication=int(spec.get("replication", 1)),
-            verify=spec["verify"],
-            max_workers=1,
-        )
-        self.server = PumServer(
-            pool=pool,
-            max_batch=spec["max_batch"],
-            max_wait_ticks=spec["max_wait_ticks"],
-            queue_capacity=int(spec["queue_capacity"]),
-            admission="reject",
-        )
+        server = self.build(spec)
+        if server.pool._executor is not None:
+            raise RuntimeError("the pool built its fan-out executor early")
+        # DevicePool sizes its lazily built executor from this field.
+        server.pool._max_workers = 1
+        self.server = server
         self.spec = {key: spec.get(key) for key in SERVER_SPEC}
-        return self.server
+        return server
 
     def report(self) -> Dict[str, Any]:
         """What the worker sends home when it stops."""
@@ -341,173 +324,12 @@ def _open_layers(window: Window) -> Dict[str, float]:
     return layers
 
 
-# --------------------------------------------------------------------- #
-# In-process server                                                       #
-# --------------------------------------------------------------------- #
-class Local:
-    """``tenants``: the server ticked from this process's own loop."""
-
-    def __init__(self, traffic: Traffic) -> None:
-        self.traffic = traffic
-        self.builder = ServerBuilder()
-
-    def setup(self):
-        start = time.perf_counter()
-        server = self.builder(SERVER_SPEC)
-        for tenant, matrix in enumerate(self.traffic.initial):
-            server.register_matrix(name_of(tenant), matrix,
-                                   element_size=WEIGHT_BITS,
-                                   input_bits=INPUT_BITS)
-        return server, time.perf_counter() - start
-
-    def window(self, number: int, traced: bool) -> Window:
-        traffic = self.traffic
-        traffic.begin_window(number)
-        tracer = Tracer() if traced else None
-        uninstall = install(tracer) if traced else None
-        try:
-            began = time.perf_counter()
-            server, setup_s = self.setup()
-            builds = server.planner_builds()
-            window = Window(setup_s=setup_s)
-            self.open(server, window)
-            self.closed(server, window)
-            window.wall_s = time.perf_counter() - began
-        finally:
-            if uninstall is not None:
-                uninstall()
-        window.threads = threading.active_count()
-        server.pool.close()
-        self.builder.server = None
-        ledger = server.pool.total_ledger()
-        _cost(window, ledger.cycle_breakdown, ledger.energy_breakdown,
-              server.stats.completed)
-        window.failed = traffic.failed
-        window.errors = traffic.check()
-        if traced:
-            tallies = tracer.snapshot()
-            window.layers = layer_metrics(tallies)
-            window.layers.update(server_metrics(server, builds))
-            window.layers.update(_open_layers(window))
-            window.layers["trace.unaccounted_share"] = unaccounted_share(
-                tallies, window.wall_s)
-        return window
-
-    def issue(self, server, schedule: Schedule, index: int):
-        """Send operation ``index``; returns [(future, tenant, version, row)]."""
-        traffic = self.traffic
-        kind = schedule.kinds[index]
-        tenant = int(schedule.tenants[index])
-        name = name_of(tenant)
-        if kind == REPROGRAM:
-            version, matrix = traffic.new_version(schedule, index)
-            server.register_matrix(name, matrix, element_size=WEIGHT_BITS,
-                                   input_bits=INPUT_BITS)
-            traffic.live[tenant] = version
-            return []
-        if kind == REUSE:
-            server.register_matrix(
-                name, traffic.versions[tenant][traffic.live[tenant]],
-                element_size=WEIGHT_BITS, input_bits=INPUT_BITS,
-            )
-            return []
-        row = int(schedule.offsets[index])
-        version = traffic.live[tenant]
-        if kind == SINGLE:
-            future = server.submit(name, traffic.vectors[tenant][row],
-                                   input_bits=INPUT_BITS)
-            return [(future, tenant, version, row)]
-        size = int(schedule.sizes[index])
-        futures = server.submit_batch(
-            name, traffic.vectors[tenant][row: row + size],
-            input_bits=INPUT_BITS,
-        )
-        return [(future, tenant, version, row + k)
-                for k, future in enumerate(futures)]
-
-    def closed(self, server, window: Window) -> None:
-        schedule = self.traffic.closed
-        pending: Dict[int, Tuple[int, int, int, int]] = {}
-        waiting = [0] * CLIENTS
-        idle = list(range(CLIENTS))
-        cursor = 0
-        completed = 0
-        start = time.perf_counter()
-        while cursor < len(schedule) or pending:
-            ready, idle = idle, []
-            for client in ready:
-                sent: List = []
-                while not sent and cursor < len(schedule):
-                    sent = self.issue(server, schedule, cursor)
-                    cursor += 1
-                window.attempted += len(sent)
-                for future, tenant, version, row in sent:
-                    if future.done():  # refused at admission
-                        response = future.result()
-                        self.traffic.record(tenant, version, row,
-                                            response.status, response.result)
-                    else:
-                        pending[future.request_id] = (client, tenant, version, row)
-                        waiting[client] += 1
-                if not waiting[client] and cursor < len(schedule):
-                    idle.append(client)
-            for response in server.tick():
-                client, tenant, version, row = pending.pop(response.request_id)
-                completed += self.traffic.record(
-                    tenant, version, row, response.status, response.result)
-                waiting[client] -= 1
-                if not waiting[client]:
-                    idle.append(client)
-        window.throughput = completed / (time.perf_counter() - start)
-
-    def open(self, server, window: Window) -> None:
-        schedule = self.traffic.open
-        due = schedule.due
-        pending: Dict[int, Tuple[float, int, int, int]] = {}
-        offered = 0
-        index = 0
-        start = time.perf_counter()
-        while index < len(due) or server.pending:
-            now = time.perf_counter()
-            while index < len(due) and start + due[index] <= now:
-                window.lags.append(now - start - due[index])
-                sent = self.issue(server, schedule, index)
-                offered += len(sent)
-                for future, tenant, version, row in sent:
-                    if future.done():
-                        response = future.result()
-                        self.traffic.record(tenant, version, row,
-                                            response.status, response.result)
-                    else:
-                        pending[future.request_id] = (
-                            start + due[index], tenant, version, row)
-                index += 1
-                now = time.perf_counter()
-            if server.pending:
-                responses = server.tick()
-                landed = time.perf_counter()
-                for response in responses:
-                    when, tenant, version, row = pending.pop(response.request_id)
-                    if self.traffic.record(tenant, version, row,
-                                           response.status, response.result):
-                        window.latencies.append(landed - when)
-            elif index < len(due):
-                delay = start + due[index] - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-        window.attempted += offered
-        window.offered_rps = offered / OPEN_SECONDS
-
-
-# --------------------------------------------------------------------- #
-# Through the gateway                                                      #
-# --------------------------------------------------------------------- #
 class Remote:
-    """``tenants_gateway``: the same traffic through a one-worker gateway."""
+    """The traffic through a one-worker gateway, one window at a time."""
 
     def __init__(self, traffic: Traffic) -> None:
         self.traffic = traffic
-        self.builder = ServerBuilder()
+        self.builder = ServerBuilder(worker_module.build_worker_server)
         self.registering: Optional[asyncio.Lock] = None
 
     def window(self, number: int, traced: bool) -> Window:
@@ -534,6 +356,7 @@ class Remote:
                 uninstall()
         _cost(window, report["cycle_breakdown"], report["energy_breakdown"],
               report["completed"])
+        window.worker_rss_mb = report["rss_growth_mb"]
         window.failed = traffic.failed
         window.errors = traffic.check()
         if report["spec"] != SERVER_SPEC:
@@ -546,6 +369,7 @@ class Remote:
             window.layers.update(dict.fromkeys(SERVER_COUNTERS, 0.0))
             inside = layer_metrics(report["tallies"])
             inside.update(report["server"])
+            reuse_share(inside)
             window.layers.update({f"worker.{name}": inside[name]
                                   for name in WORKER_METRICS})
             window.layers.update(_open_layers(window))
@@ -595,7 +419,8 @@ class Remote:
             if not receive.poll(10.0):
                 raise RuntimeError("worker sent no report")
             message = receive.recv()
-            return {**message["extras"], "tallies": message.get("tallies")}
+            return {**message["extras"], "tallies": message.get("tallies"),
+                    "rss_growth_mb": message["rss_growth_mb"]}
         finally:
             receive.close()
 
@@ -655,31 +480,42 @@ class Remote:
                 if schedule.kinds[index] >= REPROGRAM:
                     await self.register(gateway, schedule, index)
                     continue
+                sent = time.perf_counter()
                 futures, tenant, version, row, size = await self.issue(
                     gateway, schedule, index)
                 window.attempted += size
-                for k, response in enumerate(await asyncio.gather(*futures)):
-                    completed[0] += self.traffic.record(
+                responses = await asyncio.gather(*futures)
+                landed = time.perf_counter()
+                answered = 0
+                for k, response in enumerate(responses):
+                    answered += self.traffic.record(
                         tenant, version, row + k, response.status,
                         response.result)
+                completed[0] += answered
+                if futures and answered == len(futures):
+                    window.latencies.append(landed - sent)
 
         start = time.perf_counter()
         await asyncio.gather(*(client() for _ in range(CLIENTS)))
-        window.throughput = completed[0] / (time.perf_counter() - start)
+        window.closed_requests = completed[0]
+        window.closed_s = time.perf_counter() - start
 
     async def open(self, gateway, window: Window) -> None:
         schedule = self.traffic.open
         due = schedule.due
         # Requests not yet answered; once the schedule is sent, ``drained``
-        # fires when the last one lands.
+        # fires when the last one lands.  ``left`` counts each operation's
+        # unanswered vectors: its latency runs from when it was due until
+        # its last answer landed.
         outstanding = [0]
+        left: Dict[int, int] = {}
         sent_all = [False]
         drained = asyncio.Event()
         writes: List[asyncio.Task] = []
         offered = 0
         start = time.perf_counter()
 
-        def landed(when: float, sent: float, tenant: int, version: int,
+        def landed(op: int, sent: float, tenant: int, version: int,
                    row: int, future: asyncio.Future) -> None:
             now = time.perf_counter()
             outstanding[0] -= 1
@@ -687,11 +523,15 @@ class Remote:
                 drained.set()
             if future.cancelled():
                 self.traffic.failed += 1
-                return
-            response = future.result()
-            if self.traffic.record(tenant, version, row, response.status,
-                                   response.result):
-                window.latencies.append(now - when)
+                left[op] = -len(due)  # a lost answer: no latency
+            else:
+                response = future.result()
+                if not self.traffic.record(tenant, version, row,
+                                           response.status, response.result):
+                    left[op] = -len(due)
+            left[op] -= 1
+            if left[op] == 0:
+                window.open_latencies.append(now - start - due[op])
                 window.flights.append(now - sent)
 
         for index in range(len(due)):
@@ -708,10 +548,10 @@ class Remote:
                 gateway, schedule, index)
             offered += size
             submitted = time.perf_counter()
+            left[index] = len(futures)
             for k, future in enumerate(futures):
                 future.add_done_callback(functools.partial(
-                    landed, start + due[index], submitted, tenant, version,
-                    row + k))
+                    landed, index, submitted, tenant, version, row + k))
                 outstanding[0] += 1
         for write in writes:
             await write
@@ -735,19 +575,17 @@ def _stop_resource_tracker() -> None:
         stop()
 
 
-def run(seed: int, seconds: float, trace: bool, gateway: bool) -> Outcome:
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
     """Windows until ``seconds`` are used; traced runs alternate an
     untraced reference window with a traced one."""
-    traffic = Traffic(seed)
-    runner = Remote(traffic) if gateway else Local(traffic)
+    runner = Remote(Traffic(seed))
     try:
         windows = run_windows(
             seconds, 2 if trace else MIN_WINDOWS,
             lambda number: runner.window(number, trace and number % 2 == 1),
         )
     finally:
-        if gateway:
-            _stop_resource_tracker()
+        _stop_resource_tracker()
     metrics = traced_metrics(windows) if trace else end_to_end(windows)
     return Outcome(
         metrics=metrics,

@@ -15,6 +15,7 @@ then nests under the pool call waiting for it, which is its real parent.
 
 from __future__ import annotations
 
+import resource
 import time
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -31,7 +32,8 @@ from common import median
 
 __all__ = [
     "SERVER_COUNTERS", "WORKER_METRICS", "Tracer", "WorkerTap", "install",
-    "layer_metrics", "server_metrics", "traced_metrics", "unaccounted_share",
+    "layer_metrics", "reuse_share", "server_metrics", "traced_metrics",
+    "unaccounted_share",
 ]
 
 
@@ -175,10 +177,13 @@ class WorkerTap:
     """Stands in for ``gateway.worker_main``: reports from inside the worker.
 
     The tap runs the real entry point and, when the worker stops, sends
-    ``extras()`` (read after the entry point returns) home through ``conn``.
-    When tracing, the worker -- started by ``fork`` -- has inherited the
-    shims the parent installed, bound to the parent's ``tracer`` object; the
-    tap empties that tracer first and sends the worker's own tallies too.
+    ``extras()`` (read after the entry point returns) home through ``conn``,
+    with how far the worker's peak resident set rose above the one it was
+    forked with: the pages it shares with the parent at the fork are the
+    parent's, already counted in the parent's peak.  When tracing, the
+    worker -- started by ``fork`` -- has inherited the shims the parent
+    installed, bound to the parent's ``tracer`` object; the tap empties that
+    tracer first and sends the worker's own tallies too.
     """
 
     def __init__(self, entry: Callable, conn,
@@ -192,10 +197,13 @@ class WorkerTap:
     def __call__(self, spec: Dict[str, Any]) -> None:
         if self.tracer is not None:
             self.tracer.reset()
+        forked_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         try:
             self.entry(spec)
         finally:
-            report = {"extras": self.extras()}
+            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            report = {"extras": self.extras(),
+                      "rss_growth_mb": (peak_kb - forked_kb) / 1024.0}
             if self.tracer is not None:
                 report["tallies"] = self.tracer.snapshot()
             self.conn.send(report)
@@ -280,12 +288,16 @@ def server_metrics(server, planner_builds_before: int) -> Dict[str, float]:
 
 #: Layers measured inside the gateway's worker, reported as ``worker.<name>``.
 WORKER_METRICS = (
-    "kernels.forward_s", "backend.reduce_s", "tile.self_s", "session.self_s",
-    "pool.self_s", "pool.verify_s", "pool.verify_checks", "pool.shard_calls",
-    "server.admit_s", "server.tick_self_s", "server.ticks", "server.batches",
-    "server.batch_fill", "server.zero_copy_share", "server.register_s",
-    "server.register_calls", "ring.push_s", "ring.peek_s", "msg.encode_s",
-    "msg.decode_s",
+    "kernels.forward_s", "kernels.calls", "backend.reduce_s", "backend.calls",
+    "backend.vectors", "tile.self_s", "tile.calls", "session.self_s",
+    "session.calls", "pool.self_s", "pool.calls", "pool.verify_s",
+    "pool.verify_checks", "pool.shard_calls", "pool.reexecutions",
+    "pool.set_matrix_s", "server.admit_s", "server.tick_self_s",
+    "server.ticks", "server.batches", "server.batch_fill",
+    "server.zero_copy_share", "server.queue_wait_ticks_p50",
+    "server.queue_wait_samples", "server.register_s", "server.register_calls",
+    "server.register_reuse_share", "ring.push_s", "ring.peek_s",
+    "msg.encode_s", "msg.decode_s",
 )
 
 #: Metrics of parts a workload may not run (an open-loop generator, the
@@ -297,11 +309,17 @@ ABSENT_IS_ZERO = (
 )
 
 
-def finish_layers(metrics: Dict[str, float]) -> Dict[str, float]:
-    """Derive the registration reuse share and zero the absent parts."""
+def reuse_share(metrics: Dict[str, float]) -> None:
+    """Replace the server's registration reuse count with its share of the
+    registrations."""
     reuses = metrics.pop("server.registration_reuses")
     calls = metrics["server.register_calls"]
     metrics["server.register_reuse_share"] = reuses / calls if calls else 0.0
+
+
+def finish_layers(metrics: Dict[str, float]) -> Dict[str, float]:
+    """Derive the registration reuse share and zero the absent parts."""
+    reuse_share(metrics)
     for name in ABSENT_IS_ZERO:
         metrics.setdefault(name, 0.0)
     return metrics
