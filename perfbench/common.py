@@ -26,7 +26,8 @@ class Window:
     same in every window and in every run, however fast the code is.
     """
 
-    setup_s: float = 0.0
+    #: Set-up times in seconds, the deployment the window served from last.
+    setups: List[float] = field(default_factory=list)
     #: Requests completed in the closed loop, and the seconds it took.
     closed_requests: int = 0
     closed_s: float = 0.0
@@ -86,12 +87,13 @@ def run_windows(seconds: float, minimum: int, window) -> List[Window]:
 
 def end_to_end(windows: List[Window]) -> Dict[str, float]:
     """The end-to-end metrics.  Throughput is every window's closed-loop
-    requests over their seconds.  Set-up and each latency percentile are
-    medians over the windows of the window's own figure, so one window that
-    a stall or a slow spell of the machine hit does not move them."""
+    requests over their seconds.  Set-up is the median of every set-up in
+    the run, and each latency percentile the median over the windows of the
+    window's own figure, so one window that a stall or a slow spell of the
+    machine hit does not move them."""
     requests = sum(w.requests for w in windows)
     return {
-        "setup_s": median([w.setup_s for w in windows]),
+        "setup_s": median([s for w in windows for s in w.setups]),
         "throughput_rps": (sum(w.closed_requests for w in windows)
                            / sum(w.closed_s for w in windows)),
         "latency_p50_ms": window_percentile(windows, 50) * 1e3,
@@ -120,7 +122,7 @@ def samples(windows: List[Window]) -> Dict[str, object]:
         "windows": len(windows),
         "latency_samples_per_window": [len(w.latencies) for w in windows],
         "latency_p99_ms": window_percentile(windows, 99) * 1e3,
-        "setup_s_per_window": [w.setup_s for w in windows],
+        "setup_s_per_window": [w.setups for w in windows],
         "throughput_rps_per_window": [w.throughput for w in windows],
         "latency_ms_per_window": [
             [percentile(w.latencies, q) * 1e3 for q in quantiles]

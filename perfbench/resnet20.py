@@ -285,7 +285,7 @@ def window(bench: Resnet20, traced: bool) -> Window:
     server.pool.close()
     mvms = bench.mvms_per_image
     result = Window(
-        setup_s=setup_s,
+        setups=[setup_s],
         closed_requests=mvms * len(latencies),
         closed_s=sum(latencies),
         latencies=latencies,

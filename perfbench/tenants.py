@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import multiprocessing
+import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -99,6 +100,11 @@ OPEN_SECONDS = 3.0
 #: Seeded request vectors kept per tenant; requests index into them.
 VECTOR_POOL = 512
 MIN_WINDOWS = 3
+#: Each window sets up this many deployments, closing all but the last
+#: untouched, and serves from the last: a set-up is a fraction of a second,
+#: much of it waiting for processes to wake, so ``setup_s`` needs the extra
+#: samples for a steady median.
+SETUPS_PER_WINDOW = 3
 
 #: The worker spec ``ClusterGateway(**GATEWAY_ARGS)`` hands its worker; each
 #: window checks that the spec its worker received equals this one.
@@ -128,7 +134,8 @@ def params() -> Dict[str, Any]:
         "clients": CLIENTS, "wave_every": WAVE_EVERY,
         "wave_sizes": list(WAVE_SIZES), "register_every": REGISTER_EVERY,
         "closed_ops": CLOSED_OPS, "offered_rps": OFFERED_RPS,
-        "open_seconds": OPEN_SECONDS, "server": SERVER_SPEC,
+        "open_seconds": OPEN_SECONDS, "setups_per_window": SETUPS_PER_WINDOW,
+        "server": SERVER_SPEC,
         "gateway": GATEWAY_ARGS,
     }
 
@@ -327,8 +334,9 @@ def _open_layers(window: Window) -> Dict[str, float]:
 class Remote:
     """The traffic through a one-worker gateway, one window at a time."""
 
-    def __init__(self, traffic: Traffic) -> None:
+    def __init__(self, traffic: Traffic, worker_cpu: Optional[int]) -> None:
         self.traffic = traffic
+        self.worker_cpu = worker_cpu
         self.builder = ServerBuilder(worker_module.build_worker_server)
         self.registering: Optional[asyncio.Lock] = None
 
@@ -339,12 +347,17 @@ class Remote:
         traffic = self.traffic
         traffic.begin_window(number)
         self.registering = asyncio.Lock()
+        setups = []
+        for _ in range(SETUPS_PER_WINDOW - 1):
+            gateway, seconds, receive = await self.setup(None)
+            await self.close(gateway, receive)
+            setups.append(seconds)
         tracer = Tracer() if traced else None
         uninstall = install(tracer) if traced else None
         try:
             began = time.perf_counter()
-            gateway, setup_s, receive = await self.setup(tracer)
-            window = Window(setup_s=setup_s)
+            gateway, seconds, receive = await self.setup(tracer)
+            window = Window(setups=setups + [seconds])
             await self.open(gateway, window)
             await self.closed(gateway, window)
             window.wall_s = time.perf_counter() - began
@@ -393,7 +406,7 @@ class Remote:
         entry = gateway_module.worker_main
         builder = worker_module.build_worker_server
         gateway_module.worker_main = WorkerTap(entry, send, self.builder.report,
-                                               tracer)
+                                               tracer, self.worker_cpu)
         worker_module.build_worker_server = self.builder
         try:
             start = time.perf_counter()
@@ -565,6 +578,22 @@ class Remote:
         window.offered_rps = offered / OPEN_SECONDS
 
 
+def pin_processes() -> Optional[int]:
+    """Give this process and the gateway's worker a CPU each.
+
+    Left to the scheduler, the two busy processes shared one CPU for some
+    stretches of a run and not for others, which moved closed-loop
+    throughput by a third from run to run.  Pins this process to the first
+    CPU it may use and returns the second, for the worker to pin itself to;
+    returns None, pinning nothing, when fewer than two are allowed.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    os.sched_setaffinity(0, {cpus[0]})
+    return cpus[1]
+
+
 def _stop_resource_tracker() -> None:
     """Stop the helper process ``multiprocessing`` started for the rings'
     shared memory, so the run leaves no process behind."""
@@ -578,7 +607,7 @@ def _stop_resource_tracker() -> None:
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     """Windows until ``seconds`` are used; traced runs alternate an
     untraced reference window with a traced one."""
-    runner = Remote(Traffic(seed))
+    runner = Remote(Traffic(seed), pin_processes())
     try:
         windows = run_windows(
             seconds, 2 if trace else MIN_WINDOWS,

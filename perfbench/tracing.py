@@ -15,6 +15,7 @@ then nests under the pool call waiting for it, which is its real parent.
 
 from __future__ import annotations
 
+import os
 import resource
 import time
 from collections import defaultdict
@@ -183,18 +184,23 @@ class WorkerTap:
     parent's, already counted in the parent's peak.  When tracing, the
     worker -- started by ``fork`` -- has inherited the shims the parent
     installed, bound to the parent's ``tracer`` object; the tap empties that
-    tracer first and sends the worker's own tallies too.
+    tracer first and sends the worker's own tallies too.  Given a ``cpu``,
+    the worker pins itself to it before serving.
     """
 
     def __init__(self, entry: Callable, conn,
                  extras: Callable[[], Dict[str, Any]],
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Optional[Tracer] = None,
+                 cpu: Optional[int] = None) -> None:
         self.entry = entry
         self.conn = conn
         self.extras = extras
         self.tracer = tracer
+        self.cpu = cpu
 
     def __call__(self, spec: Dict[str, Any]) -> None:
+        if self.cpu is not None:
+            os.sched_setaffinity(0, {self.cpu})
         if self.tracer is not None:
             self.tracer.reset()
         forked_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
